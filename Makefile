@@ -11,7 +11,7 @@ BENCHJSON_OUT ?= BENCH_pr.json
 BENCHTIME ?= 100ms
 REV ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: verify fmt vet lint lint-fix-audit build test race crashtest crashtest-cluster fuzzsmoke benchjson benchgate loadtest
+.PHONY: verify fmt vet lint lint-fix-audit build test race crashtest crashtest-cluster fuzzsmoke benchjson benchgate loadtest perfbench
 
 verify: fmt vet lint build test race
 
@@ -93,8 +93,8 @@ crashtest-cluster:
 # Short native-fuzzer runs over every decoder that reads crash debris or
 # user files (WAL frames, checkpoint JSON, graph text formats) plus the
 # kernel-equivalence properties (packed dominance, qindex candidate
-# soundness). The default budget keeps it pre-commit-friendly; override
-# FUZZTIME for a real campaign.
+# soundness, tree-free NPV maintenance against the NNT forest). The default
+# budget keeps it pre-commit-friendly; override FUZZTIME for a real campaign.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/core/
@@ -102,6 +102,7 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzPackedDominates -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzQindexCandidates -fuzztime=$(FUZZTIME) ./internal/qindex/
 	$(GO) test -fuzz=FuzzFactorSeal -fuzztime=$(FUZZTIME) ./internal/factor/
+	$(GO) test -fuzz=FuzzTrailsVsForest -fuzztime=$(FUZZTIME) ./internal/npv/
 
 # Record a benchmark trajectory (see benchjson_test.go): every figure bench
 # as JSON, tagged with the current revision.
@@ -132,3 +133,9 @@ benchgate:
 # compare against the committed BENCH_load.json. Knobs via LOADTEST_* env.
 loadtest:
 	sh scripts/loadtest.sh
+
+# The end-to-end benchmark (perfbench/) is its own Go module, so the root
+# `go test ./...` never compiles it. Vet and test it on its own: it uses the
+# npv/nnt APIs directly, and an API change must not break it unseen.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -723,6 +723,71 @@ func BenchmarkNNTMaintenance(b *testing.B) {
 	}
 }
 
+// BenchmarkNPVMaintenance measures the whole NPV maintenance stage — NNT
+// events folded into a packing npv.Space, plus the per-timestamp seal — in
+// the dense flip regime, where trail counts (and so maintenance) dominate a
+// step. Each iteration advances every dense stream by one timestamp. The
+// Trails sub-bench is the tree-free maintainer the NPV filters run; Forest
+// drives the same input through the node-neighbor trees, which survive as
+// the test oracle and for the Branch ablation. Both report allocs/op and
+// ns per edge op.
+func BenchmarkNPVMaintenance(b *testing.B) {
+	b.Run("Trails", func(b *testing.B) { benchNPVMaintenance(b, newTrailsApplier) })
+	b.Run("Forest", func(b *testing.B) { benchNPVMaintenance(b, newForestApplier) })
+}
+
+// changeApplier is the Apply surface nnt.Trails and nnt.Forest share.
+type changeApplier interface {
+	ApplySet(graph.ChangeSet) error
+}
+
+func newTrailsApplier(g *graph.Graph, s *npv.Space) changeApplier {
+	return nnt.NewTrails(g, join.DefaultDepth, s)
+}
+
+func newForestApplier(g *graph.Graph, s *npv.Space) changeApplier {
+	return nnt.NewForest(g, join.DefaultDepth, s)
+}
+
+func benchNPVMaintenance(b *testing.B, build func(*graph.Graph, *npv.Space) changeApplier) {
+	workloads()
+	streams := wDense.streams
+	appliers := make([]changeApplier, len(streams))
+	spaces := make([]*npv.Space, len(streams))
+	reset := func() {
+		for i, st := range streams {
+			spaces[i] = npv.NewSpace()
+			spaces[i].EnablePacking()
+			appliers[i] = build(st.Start, spaces[i])
+			spaces[i].SealDirty()
+		}
+	}
+	reset()
+	steps := len(streams[0].Changes)
+	ops := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := i % steps
+		if t == 0 && i > 0 {
+			b.StopTimer()
+			reset()
+			b.StartTimer()
+		}
+		for j, st := range streams {
+			cs := st.Changes[t]
+			if err := appliers[j].ApplySet(cs); err != nil {
+				b.Fatal(err)
+			}
+			spaces[j].SealDirty()
+			ops += len(cs)
+		}
+	}
+	if ops > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/edgeop")
+	}
+}
+
 // BenchmarkVF2HardInstance shows why the paper avoids exact isomorphism on
 // the hot path: a near-regular unlabeled instance forces deep backtracking.
 func BenchmarkVF2HardInstance(b *testing.B) {

@@ -111,6 +111,8 @@ func benchRegistry() []benchEntry {
 		{"NPV_Dominates_Packed", Benchmark_NPV_Dominates_Packed},
 		{"Factor_ShortCircuit", Benchmark_Factor_ShortCircuit},
 		{"NNTMaintenance", BenchmarkNNTMaintenance},
+		{"NPVMaintenance/Trails", func(b *testing.B) { benchNPVMaintenance(b, newTrailsApplier) }},
+		{"NPVMaintenance/Forest", func(b *testing.B) { benchNPVMaintenance(b, newForestApplier) }},
 		{"VF2HardInstance", BenchmarkVF2HardInstance},
 	}
 }

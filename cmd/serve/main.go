@@ -30,6 +30,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -pprof
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -65,6 +66,7 @@ func main() {
 	metricsInterval := flag.Duration("metrics-interval", 0, "log engine stats at this interval (e.g. 30s); 0 disables")
 	workerID := flag.String("worker-id", "", "join a replicated cluster as this worker (requires -data-dir); serves the cluster worker API for a coordinator instead of the single-node API")
 	flag.Parse()
+	*shards = resolveShards(*shards)
 
 	factory, err := filterFactory(*filterName, *depth)
 	if err != nil {
@@ -185,6 +187,17 @@ func main() {
 		}
 		log.Printf("checkpoint written to %s", *dataDir)
 	}
+}
+
+// resolveShards turns the -shards flag into a shard count. The flag's 0
+// means one shard per GOMAXPROCS, but core.DurableOptions and
+// cluster.WorkerOptions read 0 as one unsharded Monitor, so it is resolved
+// here, once, for every engine path.
+func resolveShards(flagValue int) int {
+	if flagValue <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return flagValue
 }
 
 // runWorker serves the cluster worker API until interrupted. The worker is

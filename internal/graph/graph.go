@@ -32,10 +32,14 @@ type Graph struct {
 	edges  int
 }
 
-// halfEdge is one direction of an undirected edge.
+// halfEdge is one direction of an undirected edge. toLabel caches the far
+// endpoint's vertex label, which fills the struct's padding: labels never
+// change while an edge exists (relabeling is not a stream operation, and
+// removing a vertex removes its edges), so the copy cannot go stale.
 type halfEdge struct {
-	to    VertexID
-	label Label
+	to      VertexID
+	label   Label
+	toLabel Label
 }
 
 // New returns an empty graph.
@@ -160,8 +164,8 @@ func (g *Graph) AddEdge(u, v VertexID, l Label) error {
 		}
 		return nil
 	}
-	g.adj[u] = append(g.adj[u], halfEdge{to: v, label: l})
-	g.adj[v] = append(g.adj[v], halfEdge{to: u, label: l})
+	g.adj[u] = append(g.adj[u], halfEdge{to: v, label: l, toLabel: g.labels[v]})
+	g.adj[v] = append(g.adj[v], halfEdge{to: u, label: l, toLabel: g.labels[u]})
 	g.edges++
 	return nil
 }
@@ -201,6 +205,22 @@ func (g *Graph) Neighbors(v VertexID, fn func(u VertexID, edgeLabel Label) bool)
 		}
 	}
 }
+
+// Neighborhood is a read-only view of one vertex's adjacency list in
+// insertion order. It aliases the graph's storage, so it is valid only until
+// the graph next changes. It lets recursive hot paths (trail enumeration in
+// internal/nnt) walk neighbors by index without a callback per vertex.
+type Neighborhood []halfEdge
+
+// At returns the i-th neighbor, the label of the connecting edge, and the
+// neighbor's vertex label.
+func (n Neighborhood) At(i int) (u VertexID, edgeLabel, uLabel Label) {
+	return n[i].to, n[i].label, n[i].toLabel
+}
+
+// Adjacency returns the neighborhood view of v; it is empty when v is
+// absent or isolated.
+func (g *Graph) Adjacency(v VertexID) Neighborhood { return g.adj[v] }
 
 // NeighborsSorted returns the neighbors of v with edge labels in ascending
 // vertex-ID order. It allocates; use Neighbors on hot paths.

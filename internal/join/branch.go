@@ -6,6 +6,7 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
 	"nntstream/internal/nnt"
+	"nntstream/internal/npv"
 	"nntstream/internal/obs"
 )
 
@@ -45,8 +46,12 @@ type internedTrie struct {
 	refs int
 }
 
+// branchStream is one stream's state under Branch. Branch is the one
+// filter that reads the trees themselves, so it keeps a real NNT forest;
+// the space observing it only supplies the per-timestamp dirty set.
 type branchStream struct {
-	st *streamState
+	forest *nnt.Forest
+	space  *npv.Space
 	// tries caches the label trie of each stream vertex's NNT; entries of
 	// dirty vertices are rebuilt lazily.
 	tries map[graph.VertexID]*nnt.Trie
@@ -127,14 +132,16 @@ func (f *Branch) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	if _, ok := f.streams[id]; ok {
 		return fmt.Errorf("join: duplicate stream %d", id)
 	}
+	space := npv.NewSpace()
 	bs := &branchStream{
-		st:      newStreamState(g0, f.depth, false, nil),
+		forest:  nnt.NewForest(g0, f.depth, space),
+		space:   space,
 		tries:   make(map[graph.VertexID]*nnt.Trie),
 		shared:  make(map[string]bool),
 		verdict: make(map[core.QueryID]bool, len(f.queries)),
 	}
 	f.streams[id] = bs
-	bs.st.space.TakeDirty()
+	bs.space.TakeDirty()
 	f.evaluate(bs)
 	return nil
 }
@@ -145,10 +152,10 @@ func (f *Branch) Apply(id core.StreamID, cs graph.ChangeSet) error {
 	if !ok {
 		return fmt.Errorf("join: unknown stream %d", id)
 	}
-	if err := bs.st.apply(cs); err != nil {
+	if err := bs.forest.ApplySet(cs); err != nil {
 		return err
 	}
-	dirty := bs.st.space.TakeDirty()
+	dirty := bs.space.TakeDirty()
 	if len(dirty) == 0 {
 		return nil
 	}
@@ -197,7 +204,7 @@ func (f *Branch) evaluateOne(bs *branchStream, keys []string) bool {
 func (f *Branch) evalTrie(bs *branchStream, qr *nnt.Node) bool {
 	f.trieEvals++
 	found := false
-	bs.st.forest.Roots(func(v graph.VertexID, root *nnt.Node) bool {
+	bs.forest.Roots(func(v graph.VertexID, root *nnt.Node) bool {
 		if f.trie(bs, v, root).ContainsBranches(qr) {
 			found = true
 			return false

@@ -36,11 +36,12 @@ import (
 const DefaultDepth = 3
 
 // streamState bundles the incrementally maintained feature structures of
-// one stream: its NNT forest, the projected vector space observing it, and
-// — when the owning filter factors its query set — the per-(vertex, factor)
+// one stream: the trail maintainer that keeps its NNT events flowing without
+// building the trees, the projected vector space observing it, and — when
+// the owning filter factors its query set — the per-(vertex, factor)
 // verdict memo those factored tests short-circuit through.
 type streamState struct {
-	forest *nnt.Forest
+	trails *nnt.Trails
 	space  *npv.Space
 	memo   *factor.Memo
 }
@@ -48,17 +49,17 @@ type streamState struct {
 // newStreamState builds the stream's feature structures. packed enables the
 // space's PackedVector cache: filters whose evaluation runs on the packed
 // dominance kernel (NL, Skyline) pass true so every timestamp's seal
-// freezes the dirty vertices into packed form; counter-based DSC and the
-// NNT-only Branch filter pass false and skip the sealing cost — except
-// that a non-nil factor table forces packing on, because the factor memo
-// evaluates the shared sub-vectors on the packed kernel at each seal.
+// freezes the dirty vertices into packed form; counter-based DSC passes
+// false and skips the sealing cost — except that a non-nil factor table
+// forces packing on, because the factor memo evaluates the shared
+// sub-vectors on the packed kernel at each seal.
 func newStreamState(g0 *graph.Graph, depth int, packed bool, tbl *factor.Table) *streamState {
 	space := npv.NewSpace()
 	if packed || tbl != nil {
 		space.EnablePacking()
 	}
 	st := &streamState{
-		forest: nnt.NewForest(g0, depth, space),
+		trails: nnt.NewTrails(g0, depth, space),
 		space:  space,
 	}
 	if tbl != nil {
@@ -82,12 +83,13 @@ func (s *streamState) sealDeltas() []npv.DirtyDelta {
 }
 
 func (s *streamState) apply(cs graph.ChangeSet) error {
-	return s.forest.ApplySet(cs)
+	return s.trails.ApplySet(cs)
 }
 
-// nodeCount reports the current NNT node count of the stream's forest, the
-// structure-size gauge every NPV filter exports (see CollectMetrics).
-func (s *streamState) nodeCount() int { return s.forest.TotalNodes() }
+// nodeCount reports the NNT node count the stream's events describe, the
+// structure-size gauge every NPV filter exports (see CollectMetrics). No
+// tree exists on this path; the space keeps the count as a running total.
+func (s *streamState) nodeCount() int { return s.space.TreeNodes() }
 
 // qKey identifies one query vertex across all registered queries.
 type qKey struct {

@@ -556,7 +556,7 @@ var _ obs.Collector = (*DSC)(nil)
 
 // CollectMetrics implements obs.Collector with the structure sizes that
 // drive DSC's per-step cost: sorted-column entries, position/dominance
-// counter footprints, and the NNT node count of the observed forests.
+// counter footprints, and the NNT node count the streams describe.
 func (f *DSC) CollectMetrics(emit func(name string, value float64)) {
 	emit("nntstream_dsc_column_entries", float64(f.ix.PostingCount()))
 	emit("nntstream_dsc_columns", float64(f.ix.DimCount()))

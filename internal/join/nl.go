@@ -336,7 +336,7 @@ var _ obs.Collector = (*NL)(nil)
 
 // CollectMetrics implements obs.Collector with the nested-loop work and
 // structure sizes: query/stream vector counts, scan totals, index postings,
-// and the NNT node count of the observed forests.
+// and the NNT node count the streams describe.
 func (f *NL) CollectMetrics(emit func(name string, value float64)) {
 	qvecs := 0
 	for _, vecs := range f.queries {

@@ -424,8 +424,8 @@ var _ obs.Collector = (*Skyline)(nil)
 
 // CollectMetrics implements obs.Collector with the structure sizes that
 // drive the skyline probe: maximal query vectors, per-dimension statistics,
-// index postings, registered stream vectors, and the NNT node count of the
-// observed forests.
+// index postings, registered stream vectors, and the NNT node count the
+// streams describe.
 func (f *Skyline) CollectMetrics(emit func(name string, value float64)) {
 	maximal := 0
 	for _, vecs := range f.queries {

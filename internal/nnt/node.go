@@ -4,7 +4,9 @@
 // at most l starting at u. The Forest maintains the NNTs of all vertices of
 // one graph incrementally under edge insertions and deletions, following the
 // paper's Insert-Edge and Delete-Edge procedures, with the node-tree and
-// edge-tree appearance indexes they rely on.
+// edge-tree appearance indexes they rely on. Trails fires the same
+// tree-edge events as a Forest without building any tree, for consumers
+// that only count tree edges (the NPV projection).
 package nnt
 
 import (

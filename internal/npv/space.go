@@ -8,10 +8,10 @@ import (
 )
 
 // Space holds the node-projected vectors of every vertex of one graph. It
-// implements nnt.Observer, so attaching a Space to a Forest at construction
-// time keeps the vectors synchronized with the trees at zero extra traversal
-// cost (Procedure TreeProjection runs implicitly, one increment per tree
-// edge event).
+// implements nnt.Observer, so attaching a Space to an nnt.Trails (or a
+// Forest) at construction time keeps the vectors synchronized with the
+// trees at zero extra traversal cost (Procedure TreeProjection runs
+// implicitly, one increment per tree edge event).
 type Space struct {
 	vectors map[graph.VertexID]Vector
 	labels  map[graph.VertexID]graph.Label
@@ -32,11 +32,15 @@ type Space struct {
 	// epoch counts TakeDirty calls (seal generations), for observability
 	// and tests.
 	epoch uint64
+	// nodes is the running count of tree nodes the observed events
+	// describe: one root per vertex plus one node per tree edge.
+	nodes int
 }
 
 var _ nnt.Observer = (*Space)(nil)
 
-// NewSpace returns an empty space, ready to be passed to nnt.NewForest.
+// NewSpace returns an empty space, ready to be passed to nnt.NewTrails or
+// nnt.NewForest.
 func NewSpace() *Space {
 	return &Space{
 		vectors: make(map[graph.VertexID]Vector),
@@ -52,10 +56,12 @@ func (s *Space) TreeAdded(root graph.VertexID, rootLabel graph.Label) {
 	s.labels[root] = rootLabel
 	s.dirty[root] = struct{}{}
 	s.lastRoot, s.lastVec, s.lastValid = root, vec, true
+	s.nodes++
 }
 
 // TreeRemoved implements nnt.Observer.
 func (s *Space) TreeRemoved(root graph.VertexID) {
+	s.nodes--
 	delete(s.vectors, root)
 	delete(s.labels, root)
 	s.dirty[root] = struct{}{}
@@ -76,11 +82,13 @@ func (s *Space) vecFor(root graph.VertexID) Vector {
 // TreeEdgeAdded implements nnt.Observer.
 func (s *Space) TreeEdgeAdded(root graph.VertexID, level int, pl, el, cl graph.Label) {
 	s.vecFor(root).Add(NewDim(byte(level), pl, el, cl), 1)
+	s.nodes++
 }
 
 // TreeEdgeRemoved implements nnt.Observer.
 func (s *Space) TreeEdgeRemoved(root graph.VertexID, level int, pl, el, cl graph.Label) {
 	s.vecFor(root).Add(NewDim(byte(level), pl, el, cl), -1)
+	s.nodes--
 }
 
 // Vector returns the NPV of v, or nil when v is absent. Callers must not
@@ -150,6 +158,11 @@ func (s *Space) RootLabel(v graph.VertexID) (graph.Label, bool) {
 	l, ok := s.labels[v]
 	return l, ok
 }
+
+// TreeNodes reports the number of NNT nodes the observed events describe:
+// the vertices plus the tree edges, which is Forest.TotalNodes of the
+// structure being observed. It is a running total, so reading it is O(1).
+func (s *Space) TreeNodes() int { return s.nodes }
 
 // Len reports the number of vectors (vertices) in the space.
 func (s *Space) Len() int { return len(s.vectors) }

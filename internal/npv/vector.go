@@ -51,6 +51,10 @@ func (v Vector) Get(d Dim) int32 { return v[d] }
 // Add adjusts dimension d by delta, deleting the entry when it reaches zero.
 // It panics if a count would go negative, which indicates a maintenance bug.
 func (v Vector) Add(d Dim, delta int32) {
+	if delta > 0 {
+		v[d] += delta // one hash probe on the common increment path
+		return
+	}
 	c := v[d] + delta
 	switch {
 	case c < 0:
