@@ -395,15 +395,13 @@ func BenchmarkParallel_Skyline_W4(b *testing.B) {
 	benchParallelStream(b, func() core.Filter { return join.NewSkyline(join.DefaultDepth) }, benchReal(b), 4)
 }
 
-// --- Query-count sweep: dominance candidate index vs linear scan ---
+// --- Query-count sweep: dominance candidate index ---
 
 // The qindex tentpole claims per-timestamp evaluation cost sub-linear in
 // the number of registered queries. The sweep holds the stream workload
-// fixed (two low-churn flip streams) and grows the query set 10× and 100×,
-// once with candidate generation on (the default) and once through the
-// DisableQueryIndex scan path — the flattening of indexed vs scan across
-// Q16 → Q160 → Q1600 is the recorded evidence. DSC appears once: its
-// column store *is* the index, with no scan fallback to compare against.
+// fixed (two low-churn flip streams) and grows the query set 10× and 100×;
+// the flattening across Q16 → Q160 → Q1600 is the recorded evidence.
+// DESIGN.md §6 records the linear-scan baseline the index replaced.
 //
 // The streams deliberately use 50×-smaller flip rates than the paper's
 // sparse regime at the same stationary density (p1/(p1+p2) = 1/4): a few
@@ -441,19 +439,9 @@ func qsweepWorkload(n int) streamBenchWorkload {
 
 func benchQSweep(b *testing.B, variant string, n int) {
 	mk := map[string]func() core.Filter{
-		"NL": func() core.Filter { return join.NewNL(join.DefaultDepth) },
-		"NLScan": func() core.Filter {
-			f := join.NewNL(join.DefaultDepth)
-			f.DisableQueryIndex()
-			return f
-		},
+		"NL":      func() core.Filter { return join.NewNL(join.DefaultDepth) },
 		"Skyline": func() core.Filter { return join.NewSkyline(join.DefaultDepth) },
-		"SkylineScan": func() core.Filter {
-			f := join.NewSkyline(join.DefaultDepth)
-			f.DisableQueryIndex()
-			return f
-		},
-		"DSC": func() core.Filter { return join.NewDSC(join.DefaultDepth) },
+		"DSC":     func() core.Filter { return join.NewDSC(join.DefaultDepth) },
 	}[variant]
 	benchStream(b, mk, qsweepWorkload(n))
 }
@@ -467,11 +455,9 @@ func benchQSweepGroup(b *testing.B, variant string) {
 	}
 }
 
-func BenchmarkQSweep_NL(b *testing.B)          { benchQSweepGroup(b, "NL") }
-func BenchmarkQSweep_NLScan(b *testing.B)      { benchQSweepGroup(b, "NLScan") }
-func BenchmarkQSweep_Skyline(b *testing.B)     { benchQSweepGroup(b, "Skyline") }
-func BenchmarkQSweep_SkylineScan(b *testing.B) { benchQSweepGroup(b, "SkylineScan") }
-func BenchmarkQSweep_DSC(b *testing.B)         { benchQSweepGroup(b, "DSC") }
+func BenchmarkQSweep_NL(b *testing.B)      { benchQSweepGroup(b, "NL") }
+func BenchmarkQSweep_Skyline(b *testing.B) { benchQSweepGroup(b, "Skyline") }
+func BenchmarkQSweep_DSC(b *testing.B)     { benchQSweepGroup(b, "DSC") }
 
 // --- Overlap sweep: shared factor evaluation vs per-query baseline ---
 

@@ -74,15 +74,9 @@ func benchRegistry() []benchEntry {
 		{"QSweep_NL/Q16", func(b *testing.B) { benchQSweep(b, "NL", 16) }},
 		{"QSweep_NL/Q160", func(b *testing.B) { benchQSweep(b, "NL", 160) }},
 		{"QSweep_NL/Q1600", func(b *testing.B) { benchQSweep(b, "NL", 1600) }},
-		{"QSweep_NLScan/Q16", func(b *testing.B) { benchQSweep(b, "NLScan", 16) }},
-		{"QSweep_NLScan/Q160", func(b *testing.B) { benchQSweep(b, "NLScan", 160) }},
-		{"QSweep_NLScan/Q1600", func(b *testing.B) { benchQSweep(b, "NLScan", 1600) }},
 		{"QSweep_Skyline/Q16", func(b *testing.B) { benchQSweep(b, "Skyline", 16) }},
 		{"QSweep_Skyline/Q160", func(b *testing.B) { benchQSweep(b, "Skyline", 160) }},
 		{"QSweep_Skyline/Q1600", func(b *testing.B) { benchQSweep(b, "Skyline", 1600) }},
-		{"QSweep_SkylineScan/Q16", func(b *testing.B) { benchQSweep(b, "SkylineScan", 16) }},
-		{"QSweep_SkylineScan/Q160", func(b *testing.B) { benchQSweep(b, "SkylineScan", 160) }},
-		{"QSweep_SkylineScan/Q1600", func(b *testing.B) { benchQSweep(b, "SkylineScan", 1600) }},
 		{"QSweep_DSC/Q16", func(b *testing.B) { benchQSweep(b, "DSC", 16) }},
 		{"QSweep_DSC/Q160", func(b *testing.B) { benchQSweep(b, "DSC", 160) }},
 		{"QSweep_DSC/Q1600", func(b *testing.B) { benchQSweep(b, "DSC", 1600) }},

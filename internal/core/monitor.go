@@ -184,36 +184,23 @@ func (m *Monitor) Query(id QueryID) *graph.Graph { return m.queries[id] }
 // applied to a clone of its canonical graph, and any failure rejects the
 // whole batch before the filter sees a single operation, so a mid-batch
 // error can never leave the filter and the canonical graphs diverged. Only
-// after all clones validate are the filter applies issued and the validated
-// clones swapped in as the new canonical graphs.
+// after all clones validate is the batch handed to the filter, and only
+// after the filter accepts it are the validated clones swapped in as the
+// new canonical graphs.
 func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) {
 	staged, norms, err := stageChanges(m.streams, changes)
 	if err != nil {
 		return nil, err
 	}
-	var applyDur time.Duration
-	if ba, ok := m.filter.(BatchApplier); ok {
-		// Batch-capable filters take the whole validated timestamp at once
-		// and fan the (stream, query) re-evaluation out internally.
-		start := time.Now()
-		if err := ba.ApplyAll(norms); err != nil {
-			return nil, fmt.Errorf("core: filter %s batch apply: %w", m.filter.Name(), err)
-		}
-		applyDur = time.Since(start)
-		for id, g := range staged {
-			m.streams[id] = g
-		}
-	} else {
-		for id, norm := range norms {
-			start := time.Now()
-			if err := m.filter.Apply(id, norm); err != nil {
-				return nil, fmt.Errorf("core: filter %s apply on stream %d: %w", m.filter.Name(), id, err)
-			}
-			applyDur += time.Since(start)
-			m.streams[id] = staged[id]
-		}
-	}
 	start := time.Now()
+	if err := applyBatch(m.filter, norms); err != nil {
+		return nil, fmt.Errorf("core: filter %s %w", m.filter.Name(), err)
+	}
+	applyDur := time.Since(start)
+	for id, g := range staged {
+		m.streams[id] = g
+	}
+	start = time.Now()
 	cands := m.filter.Candidates()
 	collectDur := time.Since(start)
 	m.stats.FilterTime += applyDur + collectDur
@@ -342,4 +329,23 @@ func (m *Monitor) setNextIDs(q QueryID, s StreamID) {
 	if s > m.nextS {
 		m.nextS = s
 	}
+}
+
+// applyBatch hands one timestamp's validated change sets to a filter:
+// whole, when it is a BatchApplier that fans the (stream, query)
+// re-evaluation out internally, else stream by stream. Both engines step
+// through it and swap their staged graphs in only once it returns nil.
+func applyBatch(f Filter, changes map[StreamID]graph.ChangeSet) error {
+	if ba, ok := f.(BatchApplier); ok {
+		if err := ba.ApplyAll(changes); err != nil {
+			return fmt.Errorf("batch apply: %w", err)
+		}
+		return nil
+	}
+	for id, cs := range changes {
+		if err := f.Apply(id, cs); err != nil {
+			return fmt.Errorf("apply on stream %d: %w", id, err)
+		}
+	}
+	return nil
 }

@@ -319,19 +319,8 @@ func (m *ShardedMonitor) applyShards(perShard []map[StreamID]graph.ChangeSet) er
 		wg.Add(1)
 		go func(i int, f Filter) {
 			defer wg.Done()
-			// Batch-capable filters fan the shard's whole timestamp out
-			// over their own worker pool; others walk it stream by stream.
-			if ba, ok := f.(BatchApplier); ok {
-				if err := ba.ApplyAll(perShard[i]); err != nil {
-					errs[i] = fmt.Errorf("core: shard %d: %w", i, err)
-				}
-				return
-			}
-			for id, cs := range perShard[i] {
-				if err := f.Apply(id, cs); err != nil {
-					errs[i] = fmt.Errorf("core: shard %d stream %d: %w", i, id, err)
-					return
-				}
+			if err := applyBatch(f, perShard[i]); err != nil {
+				errs[i] = fmt.Errorf("core: shard %d: %w", i, err)
 			}
 		}(i, f)
 	}

@@ -370,15 +370,9 @@ func (f *DSC) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	return nil
 }
 
-// Apply implements core.Filter.
+// Apply implements core.Filter as a batch of one.
 func (f *DSC) Apply(id core.StreamID, cs graph.ChangeSet) error {
-	ds, ok := f.streams[id]
-	if !ok {
-		return fmt.Errorf("join: unknown stream %d", id)
-	}
-	work, err := f.applyStream(ds, cs)
-	f.domUpdates += work
-	return err
+	return f.ApplyAll(map[core.StreamID]graph.ChangeSet{id: cs})
 }
 
 // applyStream advances one stream: NNT maintenance, then the dominance
@@ -429,7 +423,7 @@ func (f *DSC) reconcileStream(ds *dscStream) int64 {
 // avoids write sharing. Tasks write only their own stream's state and
 // work slot; the merge walks slots in StreamID order.
 func (f *DSC) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
-	ids := batchStreamIDs(changes)
+	ids := sortedKeys(changes)
 	errs := make([]error, len(ids))
 	works := make([]int64, len(ids))
 	f.pool.run(len(ids), func(i int) {

@@ -198,7 +198,7 @@ func TestFactoredMatchesUnfactoredRandomized(t *testing.T) {
 						}
 						continue
 					}
-					for _, sid := range batchStreamIDs(batch) {
+					for _, sid := range sortedKeys(batch) {
 						if err := ef.f.Apply(sid, batch[sid]); err != nil {
 							t.Fatalf("seed=%d step=%d: %s apply: %v", seed, step, ef.name, err)
 						}

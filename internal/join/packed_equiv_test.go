@@ -93,7 +93,7 @@ func TestPackedKernelMatchesMapKernelRandomized(t *testing.T) {
 			}
 			for step := 0; step < 20; step++ {
 				batch := randomBatch(rr, graphs)
-				for _, sid := range batchStreamIDs(batch) {
+				for _, sid := range sortedKeys(batch) {
 					if err := seq.Apply(sid, batch[sid]); err != nil {
 						t.Fatalf("seed=%d %s step=%d: sequential apply: %v", seed, name, step, err)
 					}

@@ -13,7 +13,7 @@ import (
 
 // dynamicReference recomputes the Lemma 4.2 candidate set from scratch with
 // the map kernel over a churning query set — mapKernelReference with
-// removable query IDs. Ground truth for the indexed-vs-scan equivalence.
+// removable query IDs. Ground truth for the indexed filters.
 func dynamicReference(graphs map[core.StreamID]*graph.Graph, queries map[core.QueryID]*graph.Graph, depth int) []core.Pair {
 	qvecs := make(map[core.QueryID][]npv.Vector, len(queries))
 	for qid, q := range queries {
@@ -53,45 +53,33 @@ type equivFilter struct {
 	par  core.BatchApplier
 }
 
-// qindexEquivFilters builds the full matrix: indexed and scan variants of
-// NL and Skyline, each sequential and parallel, plus DSC (whose index is
-// its column store — the incremental counters are its only path) in both
-// drive modes.
+// qindexEquivFilters builds the matrix: NL, Skyline, and DSC (whose index
+// is its column store — the incremental counters are its only path), each
+// driven stream by stream through Apply and as whole batches through a
+// four-worker ApplyAll.
 func qindexEquivFilters(depth int) []equivFilter {
 	batch := func(f core.ParallelFilter) core.BatchApplier {
 		f.SetWorkers(4)
 		return f.(core.BatchApplier)
 	}
-	nlScanSeq := NewNL(depth)
-	nlScanSeq.DisableQueryIndex()
-	nlScanPar := NewNL(depth)
-	nlScanPar.DisableQueryIndex()
-	skyScanSeq := NewSkyline(depth)
-	skyScanSeq.DisableQueryIndex()
-	skyScanPar := NewSkyline(depth)
-	skyScanPar.DisableQueryIndex()
 	nlPar, skyPar, dscPar := NewNL(depth), NewSkyline(depth), NewDSC(depth)
 	return []equivFilter{
-		{name: "NL/indexed/seq", f: NewNL(depth)},
-		{name: "NL/indexed/par", f: nlPar, par: batch(nlPar)},
-		{name: "NL/scan/seq", f: nlScanSeq},
-		{name: "NL/scan/par", f: nlScanPar, par: batch(nlScanPar)},
-		{name: "Skyline/indexed/seq", f: NewSkyline(depth)},
-		{name: "Skyline/indexed/par", f: skyPar, par: batch(skyPar)},
-		{name: "Skyline/scan/seq", f: skyScanSeq},
-		{name: "Skyline/scan/par", f: skyScanPar, par: batch(skyScanPar)},
+		{name: "NL/seq", f: NewNL(depth)},
+		{name: "NL/par", f: nlPar, par: batch(nlPar)},
+		{name: "Skyline/seq", f: NewSkyline(depth)},
+		{name: "Skyline/par", f: skyPar, par: batch(skyPar)},
 		{name: "DSC/seq", f: NewDSC(depth)},
 		{name: "DSC/par", f: dscPar, par: batch(dscPar)},
 	}
 }
 
-// TestIndexedMatchesScanRandomized is the exactness contract of the query
-// dominance index at the filter level: with candidate generation on, NL,
-// DSC, and Skyline — sequential and through ApplyAll — report candidate
-// sets bit-identical to the unindexed full scan and to a from-scratch map
-// kernel recomputation, at every timestamp of a randomized multi-stream
-// workload with queries added and removed mid-stream.
-func TestIndexedMatchesScanRandomized(t *testing.T) {
+// TestIndexedMatchesReferenceRandomized is the exactness contract of the
+// query dominance index at the filter level: with candidate generation on,
+// NL, DSC, and Skyline — stream by stream and through ApplyAll — report
+// candidate sets bit-identical to a from-scratch map kernel recomputation,
+// at every timestamp of a randomized multi-stream workload with queries
+// added and removed mid-stream.
+func TestIndexedMatchesReferenceRandomized(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		r := rand.New(rand.NewSource(1700 + seed))
 		depth := 1 + r.Intn(3)
@@ -179,7 +167,7 @@ func TestIndexedMatchesScanRandomized(t *testing.T) {
 						}
 						continue
 					}
-					for _, sid := range batchStreamIDs(batch) {
+					for _, sid := range sortedKeys(batch) {
 						if err := ef.f.Apply(sid, batch[sid]); err != nil {
 							t.Fatalf("seed=%d step=%d: %s apply: %v", seed, step, ef.name, err)
 						}
@@ -207,6 +195,11 @@ func assertTornDown(t *testing.T, f core.DynamicFilter) {
 		}
 		if ff.ft != nil && ff.ft.VectorCount() != 0 {
 			t.Fatalf("NL: %d factor-table vectors leaked", ff.ft.VectorCount())
+		}
+		for sid, m := range ff.verdict {
+			if len(m) != 0 {
+				t.Fatalf("NL stream %d: %d stale verdicts", sid, len(m))
+			}
 		}
 	case *DSC:
 		if n := ff.ix.PostingCount(); n != 0 {
@@ -239,9 +232,9 @@ func assertTornDown(t *testing.T, f core.DynamicFilter) {
 		if ff.ft != nil && ff.ft.VectorCount() != 0 {
 			t.Fatalf("Skyline: %d factor-table vectors leaked", ff.ft.VectorCount())
 		}
-		for sid, ss := range ff.streams {
-			if len(ss.verdict) != 0 {
-				t.Fatalf("Skyline stream %d: %d stale verdicts", sid, len(ss.verdict))
+		for sid, m := range ff.verdict {
+			if len(m) != 0 {
+				t.Fatalf("Skyline stream %d: %d stale verdicts", sid, len(m))
 			}
 		}
 	default:
@@ -287,7 +280,7 @@ func TestRemoveReRegisterEquivalence(t *testing.T) {
 			}
 			for step := 0; step < 10; step++ {
 				batch := randomBatch(r, graphs)
-				for _, sid := range batchStreamIDs(batch) {
+				for _, sid := range sortedKeys(batch) {
 					if err := veteran.Apply(sid, batch[sid]); err != nil {
 						t.Fatal(err)
 					}
@@ -326,7 +319,7 @@ func TestRemoveReRegisterEquivalence(t *testing.T) {
 			}
 			for step := 0; step < 10; step++ {
 				batch := randomBatch(r, graphs)
-				for _, sid := range batchStreamIDs(batch) {
+				for _, sid := range sortedKeys(batch) {
 					if err := veteran.Apply(sid, batch[sid]); err != nil {
 						t.Fatal(err)
 					}

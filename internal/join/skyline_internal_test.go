@@ -67,9 +67,8 @@ func TestSkylineRetiredVertex(t *testing.T) {
 		t.Fatalf("Candidates before deletion = %v; want 1 pair", got)
 	}
 	ss := f.streams[0]
-	dimsBefore := len(ss.dims)
-	if dimsBefore == 0 || len(ss.prev) != 4 {
-		t.Fatalf("stream stats before deletion: dims=%d prev=%d", dimsBefore, len(ss.prev))
+	if got := registered(ss); len(ss.dims) == 0 || len(got) != 4 {
+		t.Fatalf("stream stats before deletion: dims=%d registered=%v", len(ss.dims), got)
 	}
 
 	// Deleting edge 0-1 retires both endpoints (degree drops to zero).
@@ -79,10 +78,11 @@ func TestSkylineRetiredVertex(t *testing.T) {
 	if got := f.Candidates(); len(got) != 0 {
 		t.Fatalf("Candidates after retirement = %v; want none", got)
 	}
-	if len(ss.prev) != 2 {
-		t.Fatalf("prev after retirement = %d vertices; want 2 (retired vectors must be deregistered)", len(ss.prev))
+	got := registered(ss)
+	if len(got) != 2 {
+		t.Fatalf("registered after retirement = %v; want vertices 2 and 3 (retired vectors must be deregistered)", got)
 	}
-	for v := range ss.prev {
+	for v := range got {
 		if v != 2 && v != 3 {
 			t.Fatalf("retired vertex %d still registered", v)
 		}
@@ -117,7 +117,7 @@ func TestSkylineRetiredVertex(t *testing.T) {
 }
 
 // TestSkylineMaxRecomputedOnRetreat checks the max-recomputation branch of
-// refresh: when the vertex holding a dimension's max shrinks, the max must
+// reconcile: when the vertex holding a dimension's max shrinks, the max must
 // drop to the runner-up, not stay stale.
 func TestSkylineMaxRecomputedOnRetreat(t *testing.T) {
 	f := NewSkyline(1)
@@ -147,4 +147,16 @@ func TestSkylineMaxRecomputedOnRetreat(t *testing.T) {
 	if got := ss.dims[d].max; got != 1 {
 		t.Fatalf("max after retreat = %d; want 1", got)
 	}
+}
+
+// registered returns the vertices listed in any of the stream's
+// per-dimension statistics.
+func registered(ss *skyStream) map[graph.VertexID]bool {
+	out := make(map[graph.VertexID]bool)
+	for _, stat := range ss.dims {
+		for v := range stat.members {
+			out[v] = true
+		}
+	}
+	return out
 }
